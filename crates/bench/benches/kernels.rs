@@ -8,9 +8,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use muxlink_benchgen::synth::SynthConfig;
 use muxlink_core::MuxLinkConfig;
 use muxlink_gnn::sample::{
-    onehot_project_into, onehot_propagate_matmul_into, onehot_propagate_t_matmul_into,
-    onehot_propagate_t_matmul_rows_into, onehot_scatter_add, plan_matmul_into,
-    plan_t_matmul_rows_into, propagate_back_into, propagate_into, GraphSample, OneHotSpmmScratch,
+    onehot_propagate_matmul_into, onehot_propagate_t_matmul_into,
+    onehot_propagate_t_matmul_rows_into, plan_matmul_into, plan_t_matmul_rows_into, propagate_into,
+    GraphSample, OneHotSpmmScratch,
 };
 use muxlink_gnn::{Csr, Dgcnn, DgcnnConfig, Layer0PlanView, Matrix, OneHotFeatures, Workspace};
 use muxlink_graph::dataset::DatasetConfig;
@@ -117,16 +117,13 @@ fn bench_propagate(c: &mut Criterion) {
     group.finish();
 }
 
-/// First-GC-layer forward+backward, dense reference vs. the two fused
-/// sparse formulations, across feature widths F and subgraph sizes n.
+/// First-GC-layer forward+backward, dense reference vs. the fused
+/// sparse formulation, across feature widths F and subgraph sizes n.
 ///
 /// * `dense_fwd_bwd` — `S·X` (n × F) then `(S·X)·W₀` forward,
 ///   `(S·X)ᵀ·dZ` backward (the pre-PR-3 path).
 /// * `fused_exact_fwd_bwd` — the production path: `(S·X)·W₀` via
 ///   per-node column histograms, bit-identical to dense.
-/// * `fused_fwd_bwd` — the reassociated maximum-throughput path:
-///   two-row gather `X·W₀` (n × c₀) + c₀-wide propagation forward,
-///   `Sᵀ·dZ` + two-row scatter-add backward (tolerance-equivalent).
 ///
 /// PR 4 SIMD-restructuring A/B (min-of-10, same box/target): the fused
 /// one-hot kernels' inner axpy **kept** the `chunks_exact::<8>` blocking
@@ -170,26 +167,6 @@ fn bench_sparse_layer0(c: &mut Criterion) {
                     b.iter(|| {
                         onehot_propagate_matmul_into(&adj, &x, &w0, &mut ze, &mut spmm);
                         onehot_propagate_t_matmul_into(&adj, &x, &dz, &mut gwe, &mut spmm);
-                    });
-                },
-            );
-
-            let (mut e, mut zf, mut dp, mut gwf) = (
-                Matrix::default(),
-                Matrix::default(),
-                Matrix::default(),
-                Matrix::default(),
-            );
-            group.bench_with_input(
-                BenchmarkId::new("fused_fwd_bwd", format!("F{f}_n{n}")),
-                &n,
-                |b, _| {
-                    b.iter(|| {
-                        onehot_project_into(&x, &w0, &mut e);
-                        propagate_into(&adj, &e, &mut zf);
-                        propagate_back_into(&adj, &dz, &mut dp);
-                        gwf.resize(f, C0);
-                        onehot_scatter_add(&x, &dp, &mut gwf);
                     });
                 },
             );
@@ -341,7 +318,7 @@ fn bench_dataset_residency(c: &mut Criterion) {
 }
 
 /// The PR 6 tentpole: one fused propagate+GEMM per layer per minibatch
-/// over a block-diagonal CSR vs the per-sample reference loop (forward,
+/// over a block-diagonal CSR vs the per-sample loop (forward,
 /// backward and gradient merge per sample), at realistic subgraph sizes
 /// and the trainer's batch sizes. Both paths produce identical bits
 /// (property-tested); this group records the dispatch-overhead win.
@@ -382,7 +359,7 @@ fn bench_batched_layer(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new("block_diagonal", &id), &n, |b, _| {
                 b.iter(|| {
                     mb.assemble(&samples[..], &jobs);
-                    model.batch_train_step(&mb, 1.0, &mut bws, &mut grads);
+                    model.batch_train_step(&mb, &mut bws, &mut grads);
                 });
             });
         }

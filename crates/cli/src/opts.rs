@@ -8,7 +8,7 @@ use std::fmt;
 pub struct Command {
     /// Subcommand name (`generate`, `lock`, `attack`, …).
     pub name: String,
-    /// `--flag value` pairs (flags without values map to `"true"`).
+    /// `--flag value` pairs (boolean flags map to `"true"`).
     pub flags: HashMap<String, String>,
     /// Positional arguments.
     pub positional: Vec<String>,
@@ -64,7 +64,7 @@ pub const SUBCOMMANDS: &[&str] = &[
     "help",
 ];
 
-/// Flags that take a value (everything else is boolean).
+/// Flags that take a value.
 const VALUED: &[&str] = &[
     "--profile",
     "--suite",
@@ -82,7 +82,6 @@ const VALUED: &[&str] = &[
     "--hops",
     "--threads",
     "--batch-size",
-    "--dh-keep",
     "--save-model",
     "--model",
     "--out-dir",
@@ -107,12 +106,28 @@ const VALUED: &[&str] = &[
     "--emit",
 ];
 
+/// Flags that take no value. Any flag in neither list is a usage error,
+/// so a misspelt or removed flag is reported instead of being ignored or
+/// swallowing the next argument.
+const BOOLEAN: &[&str] = &[
+    "--paper",
+    // The default profile; accepted so scripts can say so explicitly.
+    "--quick",
+    "--canonicalize",
+    "--timings",
+    "--progress",
+    "--no-wait",
+    "--remap-mux",
+    "--report",
+];
+
 impl Command {
     /// Parses `args` (without the program name).
     ///
     /// # Errors
     ///
-    /// [`CliError::Usage`] on missing subcommand or dangling valued flag.
+    /// [`CliError::Usage`] on missing subcommand, unknown flag or
+    /// dangling valued flag.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, CliError> {
         let mut it = args.into_iter();
         let name = it
@@ -127,8 +142,10 @@ impl Command {
                         .next()
                         .ok_or_else(|| CliError::Usage(format!("flag {arg} expects a value")))?;
                     flags.insert(arg, v);
-                } else {
+                } else if BOOLEAN.contains(&arg.as_str()) {
                     flags.insert(arg, "true".to_owned());
+                } else {
+                    return Err(CliError::Usage(format!("unknown flag {arg}")));
                 }
             } else {
                 positional.push(arg);
@@ -224,6 +241,24 @@ mod tests {
         let c = parse(&["attack", "--quick", "x.bench"]);
         assert!(c.has("--quick"));
         assert!(!c.has("--paper"));
+    }
+
+    /// Unknown flags — including the removed trainer selectors — are
+    /// rejected by name instead of being ignored or eating the next
+    /// argument as their value.
+    #[test]
+    fn unknown_flags_are_usage_errors() {
+        for args in [
+            ["attack", "--dh-keep", "0.5", "x.bench"].as_slice(),
+            ["attack", "--layer0-rebuild", "x.bench"].as_slice(),
+            ["train", "--bogus"].as_slice(),
+        ] {
+            let e = Command::parse(args.iter().map(|s| (*s).to_owned())).unwrap_err();
+            match e {
+                CliError::Usage(m) => assert!(m.contains(args[1]), "{m}"),
+                other => panic!("expected a usage error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -43,22 +43,6 @@ pub struct MuxLinkConfig {
     /// Results are bit-identical for any value — chunking only bounds
     /// memory.
     pub sample_chunk: usize,
-    /// Train with the per-sample reference loop instead of the default
-    /// block-diagonal batched step. Bit-identical results either way
-    /// (with `dh_keep` at 1.0); the reference loop parallelises across
-    /// samples, the batched step removes per-sample dispatch overhead.
-    pub reference_trainer: bool,
-    /// Fraction of tanh-gradient entries kept per GC layer ≥ 1 in the
-    /// batched trainer (top-k by magnitude). `1.0` = exact (the
-    /// default); lower values are a tolerance-pinned approximation.
-    pub dh_keep: f32,
-    /// Rebuild the batched trainer's layer-0 propagated features from
-    /// the two-hot histograms every epoch instead of consuming the
-    /// epoch-invariant `S·X` plans cached in the sample arena at
-    /// dataset build. Bit-identical results either way — the rebuild
-    /// kernels are the executable reference of the cached path; `false`
-    /// (the default) uses the cache.
-    pub layer0_rebuild: bool,
     /// Canonicalize the target netlist with the cleanup pass pipeline
     /// (constant fold, buffer collapse, MUX simplification, dead-logic
     /// elimination) before structural extraction — both when attacking
@@ -67,12 +51,13 @@ pub struct MuxLinkConfig {
     pub canonicalize: bool,
 }
 
-// Hand-written so checkpoints saved before the `sample_chunk`,
-// `reference_trainer`, `dh_keep`, `layer0_rebuild` and `canonicalize`
-// knobs existed
-// still load: a missing field takes the production default (none of
-// these change the default path's results, so old artifacts re-score to
-// the same bits). The vendored derive has no `#[serde(default)]`.
+// Hand-written so checkpoints saved before the `sample_chunk` and
+// `canonicalize` knobs existed still load: a missing field takes the
+// production default (neither changes the default path's results, so old
+// artifacts re-score to the same bits). The vendored derive has no
+// `#[serde(default)]`. Fields this type no longer has (the removed
+// trainer selectors) are ignored, so checkpoints that still carry them
+// load too.
 impl Deserialize for MuxLinkConfig {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         Ok(Self {
@@ -90,18 +75,6 @@ impl Deserialize for MuxLinkConfig {
             sample_chunk: match map_get(v, "sample_chunk") {
                 Ok(x) => Deserialize::from_value(x)?,
                 Err(_) => MuxLinkConfig::default().sample_chunk,
-            },
-            reference_trainer: match map_get(v, "reference_trainer") {
-                Ok(x) => Deserialize::from_value(x)?,
-                Err(_) => MuxLinkConfig::default().reference_trainer,
-            },
-            dh_keep: match map_get(v, "dh_keep") {
-                Ok(x) => Deserialize::from_value(x)?,
-                Err(_) => MuxLinkConfig::default().dh_keep,
-            },
-            layer0_rebuild: match map_get(v, "layer0_rebuild") {
-                Ok(x) => Deserialize::from_value(x)?,
-                Err(_) => MuxLinkConfig::default().layer0_rebuild,
             },
             canonicalize: match map_get(v, "canonicalize") {
                 Ok(x) => Deserialize::from_value(x)?,
@@ -126,9 +99,6 @@ impl Default for MuxLinkConfig {
             seed: 0,
             threads: 0,
             sample_chunk: 1024,
-            reference_trainer: false,
-            dh_keep: 1.0,
-            layer0_rebuild: false,
             canonicalize: false,
         }
     }
@@ -160,9 +130,6 @@ impl MuxLinkConfig {
             seed: 0,
             threads: 0,
             sample_chunk: 1024,
-            reference_trainer: false,
-            dh_keep: 1.0,
-            layer0_rebuild: false,
             canonicalize: false,
         }
     }
@@ -285,22 +252,6 @@ mod tests {
         );
     }
 
-    /// Checkpoints written before the batched-trainer knobs existed must
-    /// still load with the production defaults (batched, exact).
-    #[test]
-    fn pre_batched_trainer_checkpoints_still_deserialize() {
-        let cfg = MuxLinkConfig::quick().with_seed(6);
-        let json = serde_json::to_string(&cfg).unwrap();
-        let legacy = json
-            .replace(",\"reference_trainer\":false", "")
-            .replace(",\"dh_keep\":1.0", "");
-        assert_ne!(legacy, json, "test must actually strip the fields");
-        let back: MuxLinkConfig = serde_json::from_str(&legacy).unwrap();
-        assert!(!back.reference_trainer);
-        assert_eq!(back.dh_keep, 1.0);
-        assert_eq!(back.seed, 6);
-    }
-
     /// Checkpoints written before the `canonicalize` knob existed must
     /// still load; the missing knob takes the production default (attack
     /// the netlist exactly as given).
@@ -315,18 +266,35 @@ mod tests {
         assert_eq!(back, cfg);
     }
 
-    /// Checkpoints written before the cached layer-0 plans existed must
-    /// still load; the missing knob takes the production default
-    /// (cached plans on — bit-identical to the rebuild they replace).
+    /// Checkpoints written while the config still carried the trainer
+    /// selectors `reference_trainer` and `dh_keep` must still load: the
+    /// fields are ignored, and the one batched trainer runs.
+    #[test]
+    fn pre_batched_trainer_checkpoints_still_deserialize() {
+        let cfg = MuxLinkConfig::quick().with_seed(6);
+        let json = serde_json::to_string(&cfg).unwrap();
+        let legacy = json.replace(
+            ",\"sample_chunk\":",
+            ",\"reference_trainer\":true,\"dh_keep\":0.5,\"sample_chunk\":",
+        );
+        assert_ne!(legacy, json, "test must actually add the fields");
+        let back: MuxLinkConfig = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(back, cfg);
+    }
+
+    /// Checkpoints written while the config still carried the
+    /// `layer0_rebuild` selector must still load: the field is ignored,
+    /// and training always uses the cached layer-0 plans.
     #[test]
     fn pre_layer0_plan_checkpoints_still_deserialize() {
         let cfg = MuxLinkConfig::quick().with_seed(8);
         let json = serde_json::to_string(&cfg).unwrap();
-        let legacy = json.replace(",\"layer0_rebuild\":false", "");
-        assert_ne!(legacy, json, "test must actually strip the field");
+        let legacy = json.replace(
+            ",\"sample_chunk\":",
+            ",\"layer0_rebuild\":true,\"sample_chunk\":",
+        );
+        assert_ne!(legacy, json, "test must actually add the field");
         let back: MuxLinkConfig = serde_json::from_str(&legacy).unwrap();
-        assert!(!back.layer0_rebuild);
-        assert_eq!(back.seed, 8);
         assert_eq!(back, cfg);
     }
 }

@@ -140,12 +140,6 @@ fn validate_config(cfg: &MuxLinkConfig) -> Result<(), AttackError> {
             cfg.k_percentile
         )));
     }
-    if !(cfg.dh_keep > 0.0 && cfg.dh_keep <= 1.0) {
-        return Err(AttackError::InvalidConfig(format!(
-            "dh_keep must be in (0, 1], got {}",
-            cfg.dh_keep
-        )));
-    }
     Ok(())
 }
 
@@ -391,9 +385,7 @@ impl Prepared {
         // deliberately skips, so a checkpoint-restored `Prepared` arrives
         // without them: (re)build here — a no-op when the dataset build
         // already cached them under this budget.
-        if !cfg.layer0_rebuild {
-            dataset.arena.build_layer0_plans(max_label);
-        }
+        dataset.arena.build_layer0_plans(max_label);
         let input_dim = muxlink_graph::features::feature_cols(max_label);
         let mut model_cfg = DgcnnConfig::paper(input_dim, 10);
         model_cfg.k = k;
@@ -406,9 +398,6 @@ impl Prepared {
                 ..muxlink_gnn::AdamConfig::default()
             },
             seed: cfg.seed ^ TRAIN_SEED_XOR,
-            reference_loop: cfg.reference_trainer,
-            dh_keep: cfg.dh_keep,
-            layer0_rebuild: cfg.layer0_rebuild,
         };
         let (outcome, workers) = with_pool(cfg.threads, |workers| {
             let mut model = Dgcnn::new(model_cfg);
@@ -794,11 +783,13 @@ mod tests {
         trained.verify_design(&locked.netlist, &names).unwrap();
     }
 
+    /// Also pins that every `u64` seed survives the round trip,
+    /// including those above `i64::MAX`.
     #[test]
     fn trained_checkpoint_round_trips_to_identical_scores() {
         let locked = locked_design();
         let names = locked.key_input_names();
-        let cfg = MuxLinkConfig::quick();
+        let cfg = MuxLinkConfig::quick().with_seed(u64::MAX);
         let trained = AttackSession::new(&locked.netlist, &names, cfg.clone())
             .extract()
             .unwrap()
@@ -808,7 +799,9 @@ mod tests {
             .unwrap();
         let direct = trained.score(&NoProgress).unwrap();
         let json = serde_json::to_string(&trained).unwrap();
+        assert!(json.contains("\"seed\":18446744073709551615"));
         let restored: Trained = serde_json::from_str(&json).unwrap();
+        assert_eq!(restored.cfg, trained.cfg);
         let rescored = restored.score(&NoProgress).unwrap();
         assert_eq!(
             rescored.scores, direct.scores,

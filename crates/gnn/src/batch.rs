@@ -1,7 +1,7 @@
 //! Block-diagonal batched training: one fused kernel per layer per
 //! minibatch.
 //!
-//! The per-sample trainer pays `batch_size` tiny kernel dispatches per
+//! A per-sample training loop pays `batch_size` tiny kernel dispatches per
 //! layer, writes every sample's gradients into its own [`Gradients`]
 //! slot, and then merges the slots — on the paper workload (≤ 64-node
 //! subgraphs, ~45k-parameter dense layers) the slot traffic and
@@ -16,9 +16,9 @@
 //!
 //! # Determinism contract — bit-identical to the per-sample loop
 //!
-//! The batched step reproduces the reference per-sample loop (forward +
-//! backward per sample, slots merged in sample order) **bit for bit**,
-//! by construction:
+//! The batched step reproduces the per-sample loop (forward + backward
+//! per sample through [`Dgcnn::forward_into`] / [`Dgcnn::backward_into`],
+//! slots merged in sample order) **bit for bit**, by construction:
 //!
 //! * Blocks are disjoint, so every row-wise kernel (propagate, GEMMs,
 //!   activations, softmax) performs exactly the per-sample operations
@@ -37,11 +37,12 @@
 //!   per-sample kernel over the sample's row segment), folded in
 //!   sample order — the same grouping as [`Gradients::merge`].
 //! * Per-sample dropout masks are drawn from the same per-sample seeds
-//!   the reference loop uses, one fresh RNG per sample row.
+//!   the per-sample loop uses, one fresh RNG per sample row.
 //!
-//! The property suite pins `batch_train_step` to the reference loop
-//! bitwise across batch sizes, storage paths and thread counts (the
-//! batched step is sequential, so thread-invariance is structural).
+//! The per-sample loop is kept as an executable specification in the
+//! integration tests, which pin `batch_train_step` to it bitwise across
+//! batch sizes, storage paths and thread counts (the batched step is
+//! sequential, so thread-invariance is structural).
 
 use std::time::{Duration, Instant};
 
@@ -107,32 +108,19 @@ impl Minibatch {
     /// (two-hot slabs or a dense row-stacked matrix), labels and seeds
     /// recorded in job order.
     ///
+    /// When **every** sample exposes a cached layer-0 plan
+    /// ([`SampleStore::plan`]), the per-sample plan rows are
+    /// row-concatenated into one batch-level plan (entry offsets
+    /// rebased, feature-space columns and values bit-copied) and
+    /// [`Minibatch::plan`] returns it; otherwise the batch carries no
+    /// plan and the training step rebuilds the propagated features from
+    /// the two-hot histograms.
+    ///
     /// # Panics
     ///
     /// Panics when `jobs` is empty, a referenced sample is unlabelled,
     /// or the batch mixes dense and two-hot feature forms.
     pub fn assemble<S: SampleStore + ?Sized>(&mut self, store: &S, jobs: &[(usize, u64)]) {
-        self.assemble_with(store, jobs, true);
-    }
-
-    /// [`Minibatch::assemble`] with explicit control over cached layer-0
-    /// plans: when `use_plans` is true and **every** sample exposes a
-    /// cached plan ([`SampleStore::plan`]), the per-sample plan rows are
-    /// row-concatenated into one batch-level plan (entry offsets rebased,
-    /// feature-space columns and values bit-copied) and
-    /// [`Minibatch::plan`] returns it; otherwise the batch carries no
-    /// plan and the training step falls back to rebuilding the
-    /// propagated features from the two-hot histograms.
-    ///
-    /// # Panics
-    ///
-    /// As [`Minibatch::assemble`].
-    pub fn assemble_with<S: SampleStore + ?Sized>(
-        &mut self,
-        store: &S,
-        jobs: &[(usize, u64)],
-        use_plans: bool,
-    ) {
         assert!(!jobs.is_empty(), "cannot assemble an empty minibatch");
         self.block.clear();
         self.labels.clear();
@@ -177,7 +165,7 @@ impl Minibatch {
         self.plan_cols.clear();
         self.plan_vals.clear();
         self.has_plans = false;
-        if use_plans && self.one_hot {
+        if self.one_hot {
             self.plan_offsets.push(0);
             let mut all = true;
             for &(i, _) in jobs {
@@ -243,8 +231,7 @@ pub struct BatchWorkspace {
     logits: Matrix,
     probs: Matrix,
     /// Per-sample cross-entropy losses of the last step, in job order —
-    /// the caller folds them into its epoch sum exactly as the
-    /// reference loop folds its per-sample loss vector.
+    /// the caller folds them into its epoch sum in that order.
     pub losses: Vec<f64>,
     // Backward scratch.
     dlogits: Matrix,
@@ -262,8 +249,6 @@ pub struct BatchWorkspace {
     seg: Matrix,
     /// Second subtotal for kernels producing two tensors at once.
     seg_b: Matrix,
-    /// `|dH|` scratch of the top-k gradient sparsifier.
-    abs: Vec<f32>,
     /// Wall time of the forward half of the last step (inputs → losses).
     pub forward_time: Duration,
     /// Wall time of the backward half of the last step (losses → grads).
@@ -278,56 +263,21 @@ impl BatchWorkspace {
     }
 }
 
-/// Zeroes all but the largest ⌈`keep` · len⌉ entries of `dz` by
-/// magnitude (ties at the threshold kept — deterministic, no
-/// index-dependent selection). The tolerance-pinned `dh_keep`
-/// sparsification: downstream `t_matmul` skip-zero guards then skip the
-/// zeroed entries' whole weight-gradient rows.
-fn sparsify_top_k(dz: &mut Matrix, keep: f32, abs: &mut Vec<f32>) {
-    let len = dz.data().len();
-    if len == 0 {
-        return;
-    }
-    let kept = ((keep * len as f32).ceil() as usize).clamp(1, len);
-    if kept >= len {
-        return;
-    }
-    abs.clear();
-    abs.extend(dz.data().iter().map(|v| v.abs()));
-    let (_, cut, _) = abs.select_nth_unstable_by(len - kept, f32::total_cmp);
-    let cut = *cut;
-    for g in dz.data_mut() {
-        if g.abs() < cut {
-            *g = 0.0;
-        }
-    }
-}
-
 impl Dgcnn {
     /// One training step over an assembled minibatch: batched forward,
     /// batched backward, per-sample losses into `ws.losses` and the
     /// summed (unscaled) minibatch gradients into `grads` — bit-
-    /// identical to running the per-sample reference loop over the same
-    /// jobs and merging its slots in order (see the [module
-    /// docs](self)). The caller applies the optimiser step, scaled by
-    /// `1/batch`, exactly as with the merged slots.
-    ///
-    /// `dh_keep < 1.0` enables the tolerance-pinned top-k sparsification
-    /// of the tanh gradients of GC layers ≥ 1 (and only then leaves the
-    /// bit-exact contract).
+    /// identical to running the per-sample loop over the same jobs and
+    /// merging its slots in order (see the [module docs](self)). The
+    /// caller applies the optimiser step, scaled by `1/batch`, exactly
+    /// as with the merged slots.
     ///
     /// # Panics
     ///
     /// Panics when the batch is empty, the feature width differs from
     /// the model's input width, or `grads` has a different layout.
     #[allow(clippy::too_many_lines)]
-    pub fn batch_train_step(
-        &self,
-        mb: &Minibatch,
-        dh_keep: f32,
-        ws: &mut BatchWorkspace,
-        grads: &mut Gradients,
-    ) {
+    pub fn batch_train_step(&self, mb: &Minibatch, ws: &mut BatchWorkspace, grads: &mut Gradients) {
         let nb = mb.sample_count();
         assert!(nb > 0, "empty minibatch");
         let adj = mb.block.adj();
@@ -652,14 +602,12 @@ impl Dgcnn {
         // dW as segmented subtotals, dH backprop as whole-batch kernels
         // (block-diagonal → row-wise per-sample bits).
         for l in (0..nlayers).rev() {
+            for (g, &o) in ws.dh_layers[l]
+                .data_mut()
+                .iter_mut()
+                .zip(ws.gc_outputs[l].data())
             {
-                let dz = &mut ws.dh_layers[l];
-                for (g, &o) in dz.data_mut().iter_mut().zip(ws.gc_outputs[l].data()) {
-                    *g *= 1.0 - o * o;
-                }
-                if dh_keep < 1.0 && l >= 1 {
-                    sparsify_top_k(dz, dh_keep, &mut ws.abs);
-                }
+                *g *= 1.0 - o * o;
             }
             let plan0 = if l == 0 { mb.plan() } else { None };
             for s in 0..nb {
@@ -706,7 +654,7 @@ fn reduce_rows_copy_first(src: &Matrix, out: &mut Matrix) {
 }
 
 /// Folds one sample's gradient subtotal into the accumulator exactly as
-/// the reference loop folds its slots: `copy_from` for sample 0, then
+/// the per-sample loop folds its slots: `copy_from` for sample 0, then
 /// element-wise `+=` (= [`Gradients::merge`]) for the rest.
 fn fold_subtotal(s: usize, seg: &Matrix, acc: &mut Matrix) {
     if s == 0 {
@@ -770,9 +718,9 @@ mod tests {
         }
     }
 
-    /// The reference reduction: per-sample forward/backward through a
-    /// reused workspace, slots merged in sample order (the exact
-    /// per-sample trainer body).
+    /// The per-sample reduction: forward/backward through a reused
+    /// workspace, slots merged in sample order (one step of the
+    /// per-sample spec loop).
     fn reference_step(
         model: &Dgcnn,
         samples: &[GraphSample],
@@ -807,7 +755,7 @@ mod tests {
         // change a bit.
         for _ in 0..2 {
             mb.assemble(samples, jobs);
-            model.batch_train_step(&mb, 1.0, &mut ws, &mut grads);
+            model.batch_train_step(&mb, &mut ws, &mut grads);
             assert_eq!(grads, want_grads, "gradients diverged from reference");
             assert_eq!(ws.losses, want_losses, "losses diverged from reference");
         }
@@ -842,53 +790,6 @@ mod tests {
         let samples: Vec<GraphSample> = (0..4).map(dense_sample).collect();
         let jobs = [(3, 9u64), (0, 4), (3, 12), (2, 1)];
         assert_step_matches(&model, &samples, &jobs);
-    }
-
-    #[test]
-    fn dh_sparsification_stays_close_and_full_keep_is_exact() {
-        let model = Dgcnn::new(tiny_cfg(11));
-        let samples: Vec<GraphSample> = (0..4).map(onehot_sample).collect();
-        let jobs: Vec<(usize, u64)> = (0..4).map(|i| (i, 5 + i as u64)).collect();
-        let mut mb = Minibatch::new();
-        mb.assemble(&samples[..], &jobs);
-        let mut ws = BatchWorkspace::new();
-        let mut exact = model.new_gradients();
-        model.batch_train_step(&mb, 1.0, &mut ws, &mut exact);
-        let mut sparse = model.new_gradients();
-        model.batch_train_step(&mb, 0.5, &mut ws, &mut sparse);
-        // Head gradients are upstream of the sparsified layers — they
-        // must be untouched.
-        let nl = model.cfg.gc_channels.len();
-        for (i, (a, b)) in exact.tensors().iter().zip(sparse.tensors()).enumerate() {
-            if i >= nl {
-                assert_eq!(a, b, "head tensor {i} changed under dh sparsification");
-            }
-        }
-        // The GC gradients are approximations of the exact ones.
-        let mut diff = 0.0f32;
-        let mut norm = 0.0f32;
-        for (a, b) in exact.tensors()[..nl].iter().zip(&sparse.tensors()[..nl]) {
-            for (x, y) in a.data().iter().zip(b.data()) {
-                diff += (x - y) * (x - y);
-                norm += x * x;
-            }
-        }
-        assert!(
-            diff.sqrt() <= 0.75 * norm.sqrt().max(1e-6),
-            "{diff} vs {norm}"
-        );
-    }
-
-    #[test]
-    fn sparsify_keeps_largest_magnitudes() {
-        let mut m = Matrix::from_vec(1, 6, vec![0.1, -3.0, 0.2, 2.0, -0.05, 1.0]);
-        let mut abs = Vec::new();
-        sparsify_top_k(&mut m, 0.5, &mut abs);
-        assert_eq!(m.data(), &[0.0, -3.0, 0.0, 2.0, 0.0, 1.0]);
-        // keep = 1.0 is the identity.
-        let mut id = Matrix::from_vec(1, 3, vec![0.0, -0.5, 0.25]);
-        sparsify_top_k(&mut id, 1.0, &mut abs);
-        assert_eq!(id.data(), &[0.0, -0.5, 0.25]);
     }
 
     /// A store serving owned two-hot samples plus per-sample cached
@@ -950,10 +851,11 @@ mod tests {
         let mut mb = Minibatch::new();
         let mut ws = BatchWorkspace::new();
 
-        mb.assemble_with(&store, &jobs, false);
-        assert!(mb.plan().is_none(), "plans must be absent when disabled");
+        // The owned samples alone expose no plans: the rebuild path.
+        mb.assemble(&store.samples[..], &jobs);
+        assert!(mb.plan().is_none(), "plain stores expose no plans");
         let mut want = model.new_gradients();
-        model.batch_train_step(&mb, 1.0, &mut ws, &mut want);
+        model.batch_train_step(&mb, &mut ws, &mut want);
         let want_losses = ws.losses.clone();
 
         // Two cached passes through the now-dirty buffers.
@@ -962,7 +864,7 @@ mod tests {
             let plan = mb.plan().expect("every sample carries a plan");
             assert_eq!(plan.node_count(), mb.block.node_count());
             let mut got = model.new_gradients();
-            model.batch_train_step(&mb, 1.0, &mut ws, &mut got);
+            model.batch_train_step(&mb, &mut ws, &mut got);
             assert_eq!(got, want, "cached-plan gradients diverged");
             assert_eq!(ws.losses, want_losses, "cached-plan losses diverged");
         }
@@ -987,6 +889,6 @@ mod tests {
         let mb_empty = Minibatch::new();
         let mut ws = BatchWorkspace::new();
         let mut grads = model.new_gradients();
-        model.batch_train_step(&mb_empty, 1.0, &mut ws, &mut grads);
+        model.batch_train_step(&mb_empty, &mut ws, &mut grads);
     }
 }

@@ -122,10 +122,8 @@ pub struct Cache {
     gc_inputs: Vec<Matrix>,
     gc_outputs: Vec<Matrix>,
     /// Column-histogram scratch of the bit-exact sparse first layer.
-    /// Only the rebuild path uses it: the batched trainer's default
-    /// layer 0 consumes the arena-cached `S·X` plan instead, and
-    /// single-sample forwards (prediction, the reference loop) still
-    /// build histograms here.
+    /// Single-sample forwards (prediction, evaluation) build their
+    /// histograms here; the batched trainer keeps its own scratch.
     spmm: OneHotSpmmScratch,
     hcat: Matrix,
     perm: Vec<usize>,

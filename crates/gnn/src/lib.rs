@@ -24,8 +24,9 @@
 //!   so owned [`GraphSample`]s and arena-pooled samples
 //!   ([`ArenaSamples`] over a [`SampleArena`]) run the same kernels on
 //!   the same values, bit for bit.
-//! * [`trainer::train`] — Adam minibatch loop with best-on-validation
-//!   selection, one workspace per rayon worker.
+//! * [`trainer::train`] — Adam minibatch loop over block-diagonal
+//!   batched steps ([`Minibatch`] + [`BatchWorkspace`]) with
+//!   best-on-validation selection.
 //!
 //! # Example
 //!
@@ -52,6 +53,16 @@ pub mod param;
 pub mod sample;
 pub mod trainer;
 pub mod workspace;
+
+// The per-sample spec trainer lives with the integration tests
+// (`tests/src/spec_trainer.rs`); the unit tests pin the batched loop to
+// that same file, which names this crate by its package name.
+#[cfg(test)]
+extern crate self as muxlink_gnn;
+#[cfg(test)]
+#[allow(dead_code)] // the plan-hiding store serves the integration suites
+#[path = "../../../tests/src/spec_trainer.rs"]
+mod spec_trainer;
 
 pub use batch::{BatchWorkspace, Minibatch};
 pub use dgcnn::{Cache, Dgcnn, DgcnnConfig};

@@ -29,9 +29,11 @@ use crate::matrix::Matrix;
 /// MuxLink's node information matrix X is two-hot by construction (one
 /// gate-type bit, one DRNL-label bit per row), so the hot attack path
 /// carries [`NodeFeatures::OneHot`] — 8 bytes per node instead of
-/// `4 · cols` — and the first graph-convolution layer runs the fused
-/// kernels ([`onehot_project_into`] / [`onehot_scatter_add`]) instead of
-/// a dense matmul. [`NodeFeatures::Dense`] remains fully supported for
+/// `4 · cols` — and the first graph-convolution layer runs the bit-exact
+/// fused histogram kernels ([`onehot_propagate_matmul_into`] /
+/// [`onehot_propagate_t_matmul_rows_into`]), or the arena's cached
+/// `S·X` plan ([`plan_matmul_into`] / [`plan_t_matmul_rows_into`]),
+/// instead of a dense matmul. [`NodeFeatures::Dense`] remains fully supported for
 /// arbitrary feature matrices (tests, baselines, toy datasets) and is the
 /// executable spec the sparse path is property-tested against.
 #[derive(Debug, Clone)]
@@ -343,27 +345,10 @@ impl SampleStore for ArenaSamples<'_> {
 // used: fusing multiply and add rounds once instead of twice, which
 // changes the bits of every update and would break the repo's bit-exact
 // summation contract (kernels == reference implementations, sparse ==
-// dense, any thread count). Only a tolerance-pinned kernel could accept
-// it, and those share these primitives with the exact paths.
+// dense, any thread count).
 // ---------------------------------------------------------------------
 
 const LANES: usize = 8;
-
-/// `acc[i] += src[i]` (8-lane blocks, bit-identical to the scalar zip).
-#[inline]
-fn add_rows(acc: &mut [f32], src: &[f32]) {
-    debug_assert_eq!(acc.len(), src.len());
-    let mut a = acc.chunks_exact_mut(LANES);
-    let mut s = src.chunks_exact(LANES);
-    for (a8, s8) in a.by_ref().zip(s.by_ref()) {
-        for (o, &b) in a8.iter_mut().zip(s8) {
-            *o += b;
-        }
-    }
-    for (o, &b) in a.into_remainder().iter_mut().zip(s.remainder()) {
-        *o += b;
-    }
-}
 
 /// `acc[i] += a · src[i]` (8-lane blocks, bit-identical to the scalar zip).
 #[inline]
@@ -378,67 +363,6 @@ fn axpy_rows(acc: &mut [f32], src: &[f32], a: f32) {
     }
     for (o, &b) in ac.into_remainder().iter_mut().zip(sc.remainder()) {
         *o += a * b;
-    }
-}
-
-/// Fused sparse product `X·W` for two-hot features: row `i` of the output
-/// is the sum of the two `W` rows selected by node `i`'s gate and label
-/// columns — `O(n·c)` work and no `n × d` dense X in memory.
-///
-/// Within each output row the gate-row entry is added before the
-/// label-row entry, a fixed order, so the result is a pure function of
-/// `(x, w)` — bit-identical across runs, threads and buffer reuse.
-///
-/// Composing this with `propagate` yields `S·(X·W)` — the *reassociated*
-/// first layer, the maximum-throughput formulation (`O(n·c)` gather, no
-/// per-column histogram). It equals the dense `(S·X)·W` in exact
-/// arithmetic but only to ≤ 1e-5 relative in `f32`, so the model's
-/// default path uses the bit-exact [`onehot_propagate_matmul_into`]
-/// instead: training amplifies reassociation drift chaotically across
-/// optimiser steps (observed as macroscopically different weights).
-/// See the numerics policy in the README.
-///
-/// # Panics
-///
-/// Panics when `w` has fewer rows than the feature width.
-pub fn onehot_project_into<'a>(x: impl Into<OneHotView<'a>>, w: &Matrix, out: &mut Matrix) {
-    let x = x.into();
-    assert_eq!(w.rows(), x.cols(), "feature width mismatch");
-    let c = w.cols();
-    out.resize_for_overwrite(x.rows(), c);
-    for i in 0..x.rows() {
-        let (g, l) = x.columns(i);
-        let grow = w.row(g);
-        let lrow = w.row(l);
-        for ((o, &a), &b) in out.row_mut(i).iter_mut().zip(grow).zip(lrow) {
-            *o = a + b;
-        }
-    }
-}
-
-/// Adjoint of [`onehot_project_into`]: accumulates `Xᵀ·G` into `gw` as a
-/// two-row scatter-add per node (`gw[gate_i] += G_i`,
-/// `gw[8 + label_i] += G_i`). `gw` must be pre-shaped `x.cols × g.cols()`
-/// (typically via `Matrix::resize`, which zeroes); rows are visited in
-/// ascending node order, so the summation order — and hence the bits —
-/// are a pure function of `(x, g)`.
-///
-/// # Panics
-///
-/// Panics when shapes disagree.
-pub fn onehot_scatter_add<'a>(x: impl Into<OneHotView<'a>>, g: &Matrix, gw: &mut Matrix) {
-    let x = x.into();
-    assert_eq!(g.rows(), x.rows(), "row count mismatch");
-    assert_eq!(
-        (gw.rows(), gw.cols()),
-        (x.cols(), g.cols()),
-        "gradient shape mismatch"
-    );
-    for i in 0..x.rows() {
-        let (gi, li) = x.columns(i);
-        let src = g.row(i);
-        add_rows(gw.row_mut(gi), src);
-        add_rows(gw.row_mut(li), src);
     }
 }
 
@@ -500,10 +424,10 @@ impl OneHotSpmmScratch {
 /// [`Matrix::matmul_into`]'s skip-zero loop visits them: the result is
 /// **bitwise identical** to `propagate` + `matmul` on the dense
 /// expansion, while skipping all `O(n·F)` work. This is the production
-/// first layer — unlike the reassociated [`onehot_project_into`] path it
-/// cannot drift from the dense reference, which keeps training (where
-/// `f32` drift amplifies chaotically across Adam steps) exactly
-/// reproducible.
+/// first layer. A reassociated `S·(X·W)` gather would be cheaper still,
+/// but it only matches the dense reference to ≤ 1e-5 relative in `f32`,
+/// and training amplifies that drift chaotically across Adam steps; the
+/// histogram form keeps training exactly reproducible.
 ///
 /// # Panics
 ///
@@ -917,55 +841,6 @@ mod tests {
         OneHotFeatures::new(11, vec![0, 3, 7, 3], vec![1, 0, 2, 2])
     }
 
-    #[test]
-    fn onehot_project_matches_dense_matmul() {
-        let x = tiny_onehot();
-        let mut rng = seeded_rng(8);
-        let w = Matrix::glorot(11, 6, &mut rng);
-        let dense = NodeFeatures::OneHot(x.clone()).to_dense();
-        let expect = dense.matmul(&w);
-        let mut out = Matrix::from_vec(1, 1, vec![5.0]); // dirty buffer
-        onehot_project_into(&x, &w, &mut out);
-        assert_eq!(out.rows(), 4);
-        // Two-term sums in a fixed order: equal to the dense product up
-        // to f32 reassociation; for 0/1 entries it is in fact exact.
-        for (a, b) in out.data().iter().zip(expect.data()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn onehot_scatter_matches_dense_t_matmul() {
-        let x = tiny_onehot();
-        let mut rng = seeded_rng(9);
-        let g = Matrix::glorot(4, 6, &mut rng);
-        let dense = NodeFeatures::OneHot(x.clone()).to_dense();
-        let expect = dense.t_matmul(&g);
-        let mut gw = Matrix::zeros(0, 0);
-        gw.resize(11, 6);
-        onehot_scatter_add(&x, &g, &mut gw);
-        for (a, b) in gw.data().iter().zip(expect.data()) {
-            assert!((a - b).abs() <= 1e-6, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn onehot_project_and_scatter_are_adjoint() {
-        // <X·W, G> must equal <W, Xᵀ·G>.
-        let x = tiny_onehot();
-        let mut rng = seeded_rng(10);
-        let w = Matrix::glorot(11, 3, &mut rng);
-        let g = Matrix::glorot(4, 3, &mut rng);
-        let mut xw = Matrix::zeros(0, 0);
-        onehot_project_into(&x, &w, &mut xw);
-        let mut xtg = Matrix::zeros(0, 0);
-        xtg.resize(11, 3);
-        onehot_scatter_add(&x, &g, &mut xtg);
-        let lhs: f32 = xw.data().iter().zip(g.data()).map(|(a, b)| a * b).sum();
-        let rhs: f32 = w.data().iter().zip(xtg.data()).map(|(a, b)| a * b).sum();
-        assert!((lhs - rhs).abs() < 1e-5, "{lhs} vs {rhs}");
-    }
-
     /// The production fused kernels must reproduce the dense reference
     /// pipeline (`propagate` + `matmul` / `t_matmul`) bit-for-bit.
     #[test]
@@ -988,28 +863,6 @@ mod tests {
             assert_eq!(fwd, fwd_ref, "forward diverged from dense bits");
             onehot_propagate_t_matmul_into(&adj, &x, &dz, &mut bwd, &mut scratch);
             assert_eq!(bwd, bwd_ref, "backward diverged from dense bits");
-        }
-    }
-
-    /// The reassociated gather formulation `S·(X·W)` stays within 1e-5
-    /// relative of the exact `(S·X)·W`.
-    #[test]
-    fn reassociated_composite_is_tolerance_close_to_exact() {
-        let x = tiny_onehot();
-        let adj = Csr::from_lists(&[vec![1, 2], vec![0, 3], vec![0], vec![1]]);
-        let mut rng = seeded_rng(13);
-        let w = Matrix::glorot(11, 6, &mut rng);
-        let mut scratch = OneHotSpmmScratch::default();
-        let mut exact = Matrix::default();
-        onehot_propagate_matmul_into(&adj, &x, &w, &mut exact, &mut scratch);
-        let mut xw = Matrix::default();
-        onehot_project_into(&x, &w, &mut xw);
-        let reassoc = propagate(&adj, &xw);
-        for (a, b) in reassoc.data().iter().zip(exact.data()) {
-            assert!(
-                (a - b).abs() <= 1e-5 * a.abs().max(b.abs()).max(1.0),
-                "{a} vs {b}"
-            );
         }
     }
 

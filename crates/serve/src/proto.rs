@@ -358,6 +358,7 @@ fn opt_u64(v: &Value, key: &str) -> Result<Option<u64>, String> {
         Some(Value::Int(i)) => u64::try_from(*i)
             .map(Some)
             .map_err(|_| format!("field `{key}` must be a non-negative integer")),
+        Some(Value::UInt(u)) => Ok(Some(*u)),
         Some(other) => Err(format!("field `{key}` must be an integer, found {other:?}")),
     }
 }
@@ -439,7 +440,7 @@ impl Serialize for Request {
                     put("hops", Value::Int(x as i64));
                 }
                 if let Some(x) = s.seed {
-                    put("seed", Value::Int(x as i64));
+                    put("seed", x.to_value());
                 }
                 if let Some(x) = s.threads {
                     put("threads", Value::Int(x as i64));
@@ -721,6 +722,11 @@ mod tests {
             batch_size: Some(16),
             wait: false,
             stream: true,
+        }));
+        // Seeds span the whole u64 range.
+        round_trip_request(&Request::Submit(SubmitRequest {
+            seed: Some(u64::MAX),
+            ..SubmitRequest::inline(JobKind::Attack, "INPUT(a)\n")
         }));
         round_trip_request(&Request::Status { job_id: 3 });
         round_trip_request(&Request::Result { job_id: 4 });

@@ -1,4 +1,8 @@
-//! Shared helpers for the integration tests in `tests/tests/`.
+//! Shared helpers for the integration tests in `tests/tests/`, and the
+//! executable specifications the production fast paths are pinned to
+//! ([`spec_trainer`]).
+
+pub mod spec_trainer;
 
 use muxlink_netlist::sim::{exhaustive_equiv, random_patterns, Simulator};
 use muxlink_netlist::{Netlist, NetlistError};

@@ -118,3 +118,40 @@ fn trained_checkpoint_round_trip_rescores_identically() {
         );
     }
 }
+
+/// Checkpoints saved while the config still carried the trainer
+/// selectors must load and score bit-identically to the same checkpoint
+/// without them: the fields are ignored.
+#[test]
+fn checkpoints_with_removed_trainer_selectors_still_load() {
+    let design = muxlink_benchgen::synth::SynthConfig::new("legacy", 12, 6, 160).generate(5);
+    let locked = dmux::lock(&design, &LockOptions::new(4, 2)).unwrap();
+    let mut cfg = fast_cfg(1);
+    cfg.epochs = 2;
+    let trained = AttackSession::new(&locked.netlist, &locked.key_input_names(), cfg)
+        .extract()
+        .unwrap()
+        .prepare(&NoProgress)
+        .unwrap()
+        .train(&NoProgress)
+        .unwrap();
+    let json = serde_json::to_string(&trained).unwrap();
+    let legacy = json.replacen(
+        "\"sample_chunk\":1024,",
+        "\"sample_chunk\":1024,\"reference_trainer\":true,\"dh_keep\":0.5,\"layer0_rebuild\":true,",
+        1,
+    );
+    assert_ne!(legacy, json, "test must actually add the fields");
+    let current: Trained = serde_json::from_str(&json).unwrap();
+    let old: Trained = serde_json::from_str(&legacy).unwrap();
+    assert_eq!(old.cfg, current.cfg);
+    let bits = |t: &Trained| -> Vec<(u64, u64)> {
+        t.score(&NoProgress)
+            .unwrap()
+            .scores
+            .iter()
+            .map(|(a, b)| (a.to_bits(), b.to_bits()))
+            .collect()
+    };
+    assert_eq!(bits(&old), bits(&current), "scores must be bit-identical");
+}

@@ -1,19 +1,19 @@
-//! Cross-crate contract of the block-diagonal batched trainer (the
-//! default since PR 6): the batched loop — one fused propagate+GEMM per
-//! layer per minibatch — must be **bitwise identical** to the
-//! per-sample reference loop, across batch sizes, thread counts and
-//! storage backends, and the full attack must recover the identical
-//! key either way.
+//! Cross-crate contract of the block-diagonal batched trainer: the
+//! batched loop — one fused propagate+GEMM per layer per minibatch —
+//! must be **bitwise identical** to the per-sample loop of
+//! [`spec_trainer`], across batch sizes, thread counts, storage backends
+//! and a real attack session's arena.
 
 use muxlink_core::scoring::to_graph_sample;
-use muxlink_core::{attack, MuxLinkConfig};
+use muxlink_core::{AttackSession, MuxLinkConfig, NoProgress, Trained};
 use muxlink_gnn::matrix::seeded_rng;
 use muxlink_gnn::{
-    train, ArenaSamples, BatchWorkspace, Dgcnn, DgcnnConfig, Gradients, GraphSample, Matrix,
-    Minibatch, TrainConfig, TrainReport, Workspace,
+    train, AdamConfig, ArenaSamples, BatchWorkspace, Dgcnn, DgcnnConfig, Gradients, GraphSample,
+    Matrix, Minibatch, SampleStore, TrainConfig, TrainReport,
 };
 use muxlink_graph::dataset::{build_dataset, build_dataset_arena, DatasetConfig, LinkSample};
 use muxlink_graph::extract;
+use muxlink_integration_tests::spec_trainer::{self, WithoutPlans};
 use muxlink_locking::{dmux, LockOptions};
 use proptest::prelude::*;
 use rand::Rng;
@@ -59,57 +59,62 @@ fn model_bits(model: &Dgcnn) -> String {
     serde_json::to_string(model).expect("model serializes")
 }
 
+/// Three epochs of the production trainer, or of the spec when `spec`.
 fn train_with(
     train_set: &[GraphSample],
     val_set: &[GraphSample],
-    input_dim: usize,
+    model_cfg: &DgcnnConfig,
     batch_size: usize,
-    reference_loop: bool,
+    spec: bool,
 ) -> (TrainReport, String) {
     let cfg = TrainConfig {
         epochs: 3,
         batch_size,
-        reference_loop,
         ..TrainConfig::default()
     };
-    let mut model = Dgcnn::new(DgcnnConfig::paper(input_dim, 10));
-    let report = train(&mut model, train_set, val_set, &cfg);
+    let mut model = Dgcnn::new(model_cfg.clone());
+    let report = if spec {
+        spec_trainer::train(&mut model, train_set, val_set, &cfg)
+    } else {
+        train(&mut model, train_set, val_set, &cfg)
+    };
     (report, model_bits(&model))
 }
 
-/// The tentpole contract on real subgraphs: the block-diagonal batched
-/// loop reproduces the per-sample reference loop bit for bit — history,
-/// best epoch and every model weight — at batch sizes 1, 7 and 32.
+/// The batched loop reproduces the per-sample spec bit for bit —
+/// history, best epoch and every model weight — on real subgraphs at
+/// batch sizes 1, 7 and 32.
 #[test]
 fn batched_loop_matches_reference_across_batch_sizes() {
     let (train_set, val_set, input_dim) = subgraph_dataset();
+    let model_cfg = DgcnnConfig::paper(input_dim, 10);
     for batch_size in [1usize, 7, 32] {
-        let reference = train_with(&train_set, &val_set, input_dim, batch_size, true);
-        let batched = train_with(&train_set, &val_set, input_dim, batch_size, false);
+        let spec = train_with(&train_set, &val_set, &model_cfg, batch_size, true);
+        let batched = train_with(&train_set, &val_set, &model_cfg, batch_size, false);
         assert_eq!(
-            reference.0, batched.0,
+            spec.0, batched.0,
             "batch {batch_size}: training history diverged"
         );
         assert_eq!(
-            reference.1, batched.1,
+            spec.1, batched.1,
             "batch {batch_size}: model weights diverged"
         );
     }
 }
 
-/// Thread invariance: the reference loop parallelises across samples,
-/// the batched loop is sequential — both must agree from any pool.
-/// CI runs this test by name at 2 threads.
+/// Thread invariance: the spec parallelises across samples, the batched
+/// loop is sequential — both must agree from any pool. CI runs this test
+/// by name at 2 threads.
 #[test]
 fn batched_loop_matches_reference_at_two_threads() {
     let (train_set, val_set, input_dim) = subgraph_dataset();
-    let baseline = pool(1).install(|| train_with(&train_set, &val_set, input_dim, 8, false));
+    let model_cfg = DgcnnConfig::paper(input_dim, 10);
+    let baseline = pool(1).install(|| train_with(&train_set, &val_set, &model_cfg, 8, false));
     for threads in [2usize, 4] {
-        let reference =
-            pool(threads).install(|| train_with(&train_set, &val_set, input_dim, 8, true));
+        let spec = pool(threads).install(|| train_with(&train_set, &val_set, &model_cfg, 8, true));
         let batched =
-            pool(threads).install(|| train_with(&train_set, &val_set, input_dim, 8, false));
-        assert_eq!(baseline, reference, "{threads}-thread reference diverged");
+            pool(threads).install(|| train_with(&train_set, &val_set, &model_cfg, 8, false));
+        assert_eq!(baseline, spec, "{threads}-thread spec diverged");
         assert_eq!(baseline, batched, "{threads}-thread batched diverged");
     }
 }
@@ -155,28 +160,74 @@ fn batched_loop_is_storage_invariant_owned_vs_arena() {
     assert_eq!(model_bits(&om), model_bits(&am), "weights diverged");
 }
 
-/// End to end: the recovered key must be identical between the default
-/// batched trainer and `reference_trainer: true` — the whole point of
-/// the perf work is that nothing downstream can tell the difference.
+/// End to end on a real attack session: the quick-profile `Prepared`
+/// stage of an [`AttackSession`] trains to the same bits through the
+/// production trainer, with layer 0 read from the arena's cached plans,
+/// and through the spec with the plans hidden — and each model, scored
+/// as a `Trained` checkpoint, recovers the same key.
 #[test]
 fn full_attack_recovers_identical_key_with_batched_trainer() {
     let design = muxlink_benchgen::synth::SynthConfig::new("btk", 14, 6, 260).generate(11);
     let locked = dmux::lock(&design, &LockOptions::new(8, 3)).unwrap();
-    let run = |reference_trainer: bool| {
-        let mut cfg = MuxLinkConfig::quick().with_seed(4).with_threads(1);
-        cfg.reference_trainer = reference_trainer;
-        attack(&locked.netlist, &locked.key_input_names(), &cfg).expect("attack runs")
+    let cfg = MuxLinkConfig::quick().with_seed(4).with_threads(1);
+    let prepared = AttackSession::new(&locked.netlist, &locked.key_input_names(), cfg)
+        .extract()
+        .unwrap()
+        .prepare(&NoProgress)
+        .unwrap();
+    let ds = &prepared.dataset;
+    let train_cfg = TrainConfig {
+        epochs: prepared.cfg.epochs,
+        batch_size: prepared.cfg.batch_size,
+        adam: AdamConfig {
+            lr: prepared.cfg.learning_rate,
+            ..AdamConfig::default()
+        },
+        seed: prepared.cfg.seed,
     };
-    let batched = run(false);
-    let reference = run(true);
+    let model_cfg = DgcnnConfig::paper(
+        muxlink_graph::features::feature_cols(ds.max_label),
+        prepared.k,
+    );
+    let tr = ArenaSamples::select(&ds.arena, &ds.train, ds.max_label);
+    let va = ArenaSamples::select(&ds.arena, &ds.val, ds.max_label);
+    assert!(tr.plan(0).is_some(), "prepare caches the layer-0 plans");
+
+    let mut production = Dgcnn::new(model_cfg.clone());
+    let production_report = train(&mut production, &tr, &va, &train_cfg);
+    let mut spec = Dgcnn::new(model_cfg);
+    let spec_report = spec_trainer::train(&mut spec, &WithoutPlans(&tr), &va, &train_cfg);
+    assert_eq!(production_report, spec_report, "training history diverged");
     assert_eq!(
-        batched.guess, reference.guess,
+        model_bits(&production),
+        model_bits(&spec),
+        "model weights diverged"
+    );
+
+    let key = |model: Dgcnn, report: TrainReport| {
+        Trained {
+            cfg: prepared.cfg.clone(),
+            key_input_names: prepared.key_input_names.clone(),
+            design: prepared.design.clone(),
+            max_label: ds.max_label,
+            k: prepared.k,
+            model,
+            report,
+            timings: prepared.timings,
+        }
+        .score(&NoProgress)
+        .unwrap()
+        .recover_key(prepared.cfg.th)
+    };
+    assert_eq!(
+        key(production, production_report),
+        key(spec, spec_report),
         "recovered key must not depend on the trainer loop"
     );
 }
 
 // ---------------------------------------------------------------------
-// Property tests: one batched step vs the per-sample reference loop.
+// Property tests: one batched step vs one step of the per-sample spec.
 // ---------------------------------------------------------------------
 
 /// A small random labelled sample on one of three graph shapes
@@ -217,34 +268,6 @@ fn tiny_cfg() -> DgcnnConfig {
     }
 }
 
-/// Exactly the reference-loop gradient accumulation of
-/// `trainer::train_controlled`: per-sample forward/backward, first slot
-/// copied, later slots merged.
-fn reference_step(
-    model: &Dgcnn,
-    samples: &[GraphSample],
-    jobs: &[(usize, u64)],
-) -> (Gradients, Vec<f64>) {
-    let mut ws = Workspace::new();
-    let mut acc = model.new_gradients();
-    let mut slot = model.new_gradients();
-    let mut losses = Vec::new();
-    for (s, &(i, seed)) in jobs.iter().enumerate() {
-        let v = samples[i].view();
-        let label = v.label.unwrap();
-        let mut rng = seeded_rng(seed);
-        model.forward_into(v, Some(&mut rng), &mut ws);
-        model.backward_into(v, label, &mut ws, &mut slot);
-        losses.push(f64::from(ws.cache.loss(label)));
-        if s == 0 {
-            acc.copy_from(&slot);
-        } else {
-            acc.merge(&slot);
-        }
-    }
-    (acc, losses)
-}
-
 fn grad_bits(g: &Gradients) -> Vec<u32> {
     g.tensors()
         .iter()
@@ -257,7 +280,7 @@ proptest! {
 
     /// One `batch_train_step` over a random minibatch (random shapes,
     /// features, labels, dropout seeds, duplicate samples allowed) is
-    /// bit-identical to the per-sample reference loop: every gradient
+    /// bit-identical to one step of the per-sample spec: every gradient
     /// tensor and every per-sample loss.
     #[test]
     fn batched_step_is_bitwise_identical_to_per_sample(data_seed in 0u64..1000, count in 1usize..11) {
@@ -270,7 +293,9 @@ proptest! {
             .collect();
         let model = Dgcnn::new(tiny_cfg());
 
-        let (want_grads, want_losses) = reference_step(&model, &samples, &jobs);
+        let mut want_grads = model.new_gradients();
+        let want_losses =
+            spec_trainer::spec_step(&model, &samples[..], &jobs, &mut Vec::new(), &mut want_grads);
 
         let mut mb = Minibatch::new();
         let mut ws = BatchWorkspace::new();
@@ -279,7 +304,7 @@ proptest! {
         // change bits.
         for _ in 0..2 {
             mb.assemble(&samples[..], &jobs);
-            model.batch_train_step(&mb, 1.0, &mut ws, &mut grads);
+            model.batch_train_step(&mb, &mut ws, &mut grads);
             prop_assert_eq!(grad_bits(&grads), grad_bits(&want_grads));
             let got: Vec<u64> = ws.losses.iter().map(|l| l.to_bits()).collect();
             let want: Vec<u64> = want_losses.iter().map(|l| l.to_bits()).collect();

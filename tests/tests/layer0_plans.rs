@@ -1,19 +1,21 @@
-//! Cross-crate contract of the epoch-invariant layer-0 plans (PR 8):
-//! the batched trainer consuming the arena's cached `S·X` sparse plans
-//! must be **bitwise identical** to the histogram-rebuild reference it
-//! replaces — per step, per run, per recovered key — across batch
-//! sizes, thread pools and dirty reused workspaces.
+//! Cross-crate contract of the epoch-invariant layer-0 plans: the
+//! batched trainer consuming the arena's cached `S·X` sparse plans must
+//! be **bitwise identical** to its histogram-rebuild branch — the branch
+//! every plan-less store runs, reached here by hiding the arena's plans
+//! behind [`WithoutPlans`] — per step and per run, across batch sizes,
+//! thread pools and dirty reused workspaces.
 
 use std::sync::OnceLock;
 
-use muxlink_core::{attack, MuxLinkConfig};
+use muxlink_core::{AttackSession, MuxLinkConfig, NoProgress, Trained};
 use muxlink_gnn::matrix::seeded_rng;
 use muxlink_gnn::{
-    train, ArenaSamples, BatchWorkspace, Dgcnn, DgcnnConfig, Gradients, Minibatch, SampleStore,
-    TrainConfig, TrainReport,
+    train, AdamConfig, ArenaSamples, BatchWorkspace, Dgcnn, DgcnnConfig, Gradients, Minibatch,
+    SampleStore, TrainConfig, TrainReport,
 };
 use muxlink_graph::dataset::{build_dataset_arena, ArenaDataset, DatasetConfig};
 use muxlink_graph::extract;
+use muxlink_integration_tests::spec_trainer::WithoutPlans;
 use muxlink_locking::{dmux, LockOptions};
 use proptest::prelude::*;
 use rand::Rng;
@@ -57,19 +59,24 @@ fn grad_bits(g: &Gradients) -> Vec<u32> {
         .collect()
 }
 
-fn train_arena(batch_size: usize, layer0_rebuild: bool) -> (TrainReport, String) {
+/// Three epochs on the shared arena, with layer 0 read from the cached
+/// plans or, when `rebuild`, rebuilt from the histograms every epoch.
+fn train_arena(batch_size: usize, rebuild: bool) -> (TrainReport, String) {
     let ds = dataset();
     let cfg = TrainConfig {
         epochs: 3,
         batch_size,
-        layer0_rebuild,
         ..TrainConfig::default()
     };
     let input_dim = muxlink_graph::features::feature_cols(ds.max_label);
     let mut model = Dgcnn::new(DgcnnConfig::paper(input_dim, 10));
     let tr = ArenaSamples::select(&ds.arena, &ds.train, ds.max_label);
     let va = ArenaSamples::select(&ds.arena, &ds.val, ds.max_label);
-    let report = train(&mut model, &tr, &va, &cfg);
+    let report = if rebuild {
+        train(&mut model, &WithoutPlans(&tr), &va, &cfg)
+    } else {
+        train(&mut model, &tr, &va, &cfg)
+    };
     (report, model_bits(&model))
 }
 
@@ -103,21 +110,67 @@ fn cached_plans_match_rebuild_at_two_threads() {
     }
 }
 
-/// End to end: the recovered key must be identical with and without the
-/// cached plans — nothing downstream can tell the difference.
+/// End to end on a real attack session: the quick-profile `Prepared`
+/// stage of an [`AttackSession`] trains to the same bits with the
+/// arena's cached plans and with them hidden, and each model, scored as
+/// a `Trained` checkpoint, recovers the same key.
 #[test]
 fn full_attack_recovers_identical_key_with_cached_plans() {
     let design = muxlink_benchgen::synth::SynthConfig::new("l0pk", 14, 6, 260).generate(11);
     let locked = dmux::lock(&design, &LockOptions::new(8, 3)).unwrap();
-    let run = |layer0_rebuild: bool| {
-        let mut cfg = MuxLinkConfig::quick().with_seed(4).with_threads(1);
-        cfg.layer0_rebuild = layer0_rebuild;
-        attack(&locked.netlist, &locked.key_input_names(), &cfg).expect("attack runs")
+    let cfg = MuxLinkConfig::quick().with_seed(4).with_threads(1);
+    let prepared = AttackSession::new(&locked.netlist, &locked.key_input_names(), cfg)
+        .extract()
+        .unwrap()
+        .prepare(&NoProgress)
+        .unwrap();
+    let ds = &prepared.dataset;
+    let train_cfg = TrainConfig {
+        epochs: prepared.cfg.epochs,
+        batch_size: prepared.cfg.batch_size,
+        adam: AdamConfig {
+            lr: prepared.cfg.learning_rate,
+            ..AdamConfig::default()
+        },
+        seed: prepared.cfg.seed,
     };
-    let cached = run(false);
-    let rebuild = run(true);
+    let model_cfg = DgcnnConfig::paper(
+        muxlink_graph::features::feature_cols(ds.max_label),
+        prepared.k,
+    );
+    let tr = ArenaSamples::select(&ds.arena, &ds.train, ds.max_label);
+    let va = ArenaSamples::select(&ds.arena, &ds.val, ds.max_label);
+    assert!(tr.plan(0).is_some(), "prepare caches the layer-0 plans");
+
+    let mut cached = Dgcnn::new(model_cfg.clone());
+    let cached_report = train(&mut cached, &tr, &va, &train_cfg);
+    let mut rebuild = Dgcnn::new(model_cfg);
+    let rebuild_report = train(&mut rebuild, &WithoutPlans(&tr), &va, &train_cfg);
+    assert_eq!(cached_report, rebuild_report, "training history diverged");
     assert_eq!(
-        cached.guess, rebuild.guess,
+        model_bits(&cached),
+        model_bits(&rebuild),
+        "model weights diverged"
+    );
+
+    let key = |model: Dgcnn, report: TrainReport| {
+        Trained {
+            cfg: prepared.cfg.clone(),
+            key_input_names: prepared.key_input_names.clone(),
+            design: prepared.design.clone(),
+            max_label: ds.max_label,
+            k: prepared.k,
+            model,
+            report,
+            timings: prepared.timings,
+        }
+        .score(&NoProgress)
+        .unwrap()
+        .recover_key(prepared.cfg.th)
+    };
+    assert_eq!(
+        key(cached, cached_report),
+        key(rebuild, rebuild_report),
         "recovered key must not depend on the layer-0 path"
     );
 }
@@ -151,17 +204,17 @@ proptest! {
             let mut ws = BatchWorkspace::new();
             // Rebuild reference first — it also dirties the buffers the
             // cached passes then reuse.
-            mb.assemble_with(&store, &jobs, false);
-            assert!(mb.plan().is_none(), "plans must be absent when disabled");
+            mb.assemble(&WithoutPlans(&store), &jobs);
+            assert!(mb.plan().is_none(), "plans must be absent when hidden");
             let mut want = model.new_gradients();
-            model.batch_train_step(&mb, 1.0, &mut ws, &mut want);
+            model.batch_train_step(&mb, &mut ws, &mut want);
             let want_losses: Vec<u64> = ws.losses.iter().map(|l| l.to_bits()).collect();
             let mut got_runs = Vec::new();
             for _ in 0..2 {
                 mb.assemble(&store, &jobs);
                 assert!(mb.plan().is_some(), "arena store must serve cached plans");
                 let mut got = model.new_gradients();
-                model.batch_train_step(&mb, 1.0, &mut ws, &mut got);
+                model.batch_train_step(&mb, &mut ws, &mut got);
                 let losses: Vec<u64> = ws.losses.iter().map(|l| l.to_bits()).collect();
                 got_runs.push((grad_bits(&got), losses));
             }
